@@ -299,6 +299,45 @@ func (ec *evalCache) put(key uint64, e evalEntry) {
 	ec.mu.Unlock()
 }
 
+// pending returns the genotypes of inds the memo cannot serve, one per
+// distinct hash in batch order. Both evaluation paths grade exactly
+// these, so which duplicates count as memo hits never depends on how
+// grading is scheduled.
+func (ec *evalCache) pending(inds []*Individual) []*gen.Genotype {
+	seen := make(map[uint64]struct{}, len(inds))
+	var batch []*gen.Genotype
+	for _, ind := range inds {
+		key := hashGenotype(ind.G)
+		if _, ok := ec.get(key); ok {
+			continue
+		}
+		if _, dup := seen[key]; dup {
+			continue
+		}
+		seen[key] = struct{}{}
+		batch = append(batch, ind.G)
+	}
+	return batch
+}
+
+// resolve serves every individual's grade from the memo once the
+// pending batch (graded genotypes) has been stored, and accounts the
+// batch: every individual is an evaluated program, every one beyond the
+// graded genotypes a cache hit.
+func (ec *evalCache) resolve(inds []*Individual, graded int, hist *History) error {
+	for _, ind := range inds {
+		e, ok := ec.get(hashGenotype(ind.G))
+		if !ok {
+			return fmt.Errorf("core: evaluation left genotype %016x ungraded", hashGenotype(ind.G))
+		}
+		ind.Fitness = e.fitness
+		ind.Snapshot = e.snap
+	}
+	hist.EvaluatedPrograms += len(inds)
+	hist.CacheHits += len(inds) - graded
+	return nil
+}
+
 // Run executes the Harpocrates loop.
 func Run(o Options) (*Result, error) {
 	if err := o.normalize(); err != nil {
@@ -583,30 +622,22 @@ func evaluate(inds []*Individual, o *Options, hist *History, memo *evalCache) er
 	stopEval := o.Obs.Phase("core.phase.evaluate")
 	defer stopEval()
 
-	var genNS, compNS, evalNS, instrs, hits int64
+	batch := memo.pending(inds)
+	var genNS, compNS, evalNS, instrs int64
 	var mu sync.Mutex
 	var sim simTotals
 
-	work := make(chan *Individual)
+	work := make(chan *gen.Genotype)
 	var wg sync.WaitGroup
 	for w := 0; w < o.Workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var g, c, e, n, h int64
+			var g, c, e, n int64
 			var st simTotals
-			for ind := range work {
-				key := hashGenotype(ind.G)
-				if cached, ok := memo.get(key); ok {
-					ind.Fitness = cached.fitness
-					ind.Snapshot = cached.snap
-					h++
-					continue
-				}
-				res, r, tm := gradeTimed(ind.G, &o.Gen, o.Core, o.Metric)
-				ind.Fitness = res.Fitness
-				ind.Snapshot = res.Snapshot
-				memo.put(key, evalEntry{fitness: ind.Fitness, snap: ind.Snapshot})
+			for gt := range work {
+				res, r, tm := gradeTimed(gt, &o.Gen, o.Core, o.Metric)
+				memo.put(hashGenotype(gt), evalEntry{fitness: res.Fitness, snap: res.Snapshot})
 				g += tm.genNS
 				c += tm.compNS
 				e += tm.evalNS
@@ -621,23 +652,23 @@ func evaluate(inds []*Individual, o *Options, hist *History, memo *evalCache) er
 			compNS += c
 			evalNS += e
 			instrs += n
-			hits += h
 			sim.merge(st)
 			mu.Unlock()
 		}()
 	}
-	for _, ind := range inds {
-		work <- ind
+	for _, gt := range batch {
+		work <- gt
 	}
 	close(work)
 	wg.Wait()
+	if err := memo.resolve(inds, len(batch), hist); err != nil {
+		return err
+	}
 
 	hist.Times.Generation += time.Duration(genNS)
 	hist.Times.Compilation += time.Duration(compNS)
 	hist.Times.Evaluation += time.Duration(evalNS)
-	hist.EvaluatedPrograms += len(inds)
 	hist.EvaluatedInstructions += uint64(instrs)
-	hist.CacheHits += int(hits)
 
 	if o.Obs.Enabled() {
 		o.Obs.Counter("core.sim.cycles").Add(sim.cycles)

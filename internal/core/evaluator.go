@@ -102,20 +102,7 @@ func evaluateRemote(inds []*Individual, o *Options, hist *History, memo *evalCac
 	defer stopEval()
 	t0 := time.Now()
 
-	seen := make(map[uint64]struct{}, len(inds))
-	var batch []*gen.Genotype
-	for _, ind := range inds {
-		key := hashGenotype(ind.G)
-		if _, ok := memo.get(key); ok {
-			continue
-		}
-		if _, dup := seen[key]; dup {
-			continue
-		}
-		seen[key] = struct{}{}
-		batch = append(batch, ind.G)
-	}
-
+	batch := memo.pending(inds)
 	if len(batch) > 0 {
 		results, err := o.Evaluator.EvaluateBatch(batch)
 		if err != nil {
@@ -144,16 +131,9 @@ func evaluateRemote(inds []*Individual, o *Options, hist *History, memo *evalCac
 		}
 	}
 
-	for _, ind := range inds {
-		e, ok := memo.get(hashGenotype(ind.G))
-		if !ok {
-			return fmt.Errorf("core: remote evaluation left genotype %016x ungraded", hashGenotype(ind.G))
-		}
-		ind.Fitness = e.fitness
-		ind.Snapshot = e.snap
+	if err := memo.resolve(inds, len(batch), hist); err != nil {
+		return err
 	}
-	hist.EvaluatedPrograms += len(inds)
-	hist.CacheHits += len(inds) - len(batch)
 	hist.Times.Evaluation += time.Since(t0)
 	return nil
 }

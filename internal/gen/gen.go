@@ -28,6 +28,7 @@ package gen
 
 import (
 	"math/rand/v2"
+	"sync"
 
 	"harpocrates/internal/isa"
 	"harpocrates/internal/prog"
@@ -94,22 +95,23 @@ func DefaultConfig() Config {
 	}
 }
 
-var defaultPool []isa.VariantID
-
 // DefaultPool returns the default variant pool: every deterministic
-// variant except wide division (runtime-data-dependent traps).
-func DefaultPool() []isa.VariantID {
-	if defaultPool == nil {
-		for _, id := range isa.Deterministic() {
-			switch isa.Lookup(id).Op {
-			case isa.OpDIV, isa.OpIDIV:
-				continue
-			}
-			defaultPool = append(defaultPool, id)
+// variant except wide division (runtime-data-dependent traps). The slice
+// is shared by every caller and must be treated as read-only; its
+// capacity equals its length, so appending to it copies.
+func DefaultPool() []isa.VariantID { return defaultPool() }
+
+var defaultPool = sync.OnceValue(func() []isa.VariantID {
+	var pool []isa.VariantID
+	for _, id := range isa.Deterministic() {
+		switch isa.Lookup(id).Op {
+		case isa.OpDIV, isa.OpIDIV:
+			continue
 		}
+		pool = append(pool, id)
 	}
-	return defaultPool
-}
+	return pool[:len(pool):len(pool)]
+})
 
 // PoolFilter returns the subset of DefaultPool satisfying keep.
 func PoolFilter(keep func(*isa.Variant) bool) []isa.VariantID {

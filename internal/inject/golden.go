@@ -201,8 +201,10 @@ func (g *GoldenCache) load(key GoldenKey, prog []isa.Inst, ob *obs.Observer,
 				return ga, nil
 			}
 			// A bundle that fails to decode (version skew, corruption the
-			// CRC happened to collide on) is recomputed, never fatal.
+			// CRC happened to collide on) is recomputed, never fatal, and
+			// the recomputed bundle replaces it on disk.
 			ob.Counter("inject.golden.cache.read_errors").Inc()
+			g.disk.drop(key)
 		}
 	}
 	start := time.Now()

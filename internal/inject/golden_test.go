@@ -1,6 +1,10 @@
 package inject
 
 import (
+	"encoding/binary"
+	"hash/crc32"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 
@@ -509,6 +513,105 @@ func TestGoldenDiskTierRestart(t *testing.T) {
 	}
 	if reg.Counter("inject.delta.converged").Load() == 0 {
 		t.Fatal("no faulty run delta-terminated against the deserialized trajectory")
+	}
+}
+
+// TestGoldenDiskTierVersionSkew: a segment record written by an older
+// codec version (HXGA v1, which still carried the scheduler's per-µop
+// source memo) is a miss, not a failure — the campaign recomputes the
+// golden with bit-identical statistics, and the recomputed bundle
+// supersedes the stale record so the next process hits on disk.
+func TestGoldenDiskTierVersionSkew(t *testing.T) {
+	dir := t.TempDir()
+	run := func(gc *GoldenCache, ob *obs.Observer) *Stats {
+		c := testProgram(t, 300, nil)
+		c.Target = coverage.IRF
+		c.Type = Transient
+		c.N = 16
+		c.Seed = 5
+		c.GoldenCache = gc
+		c.ProgramHash = testProgramHash(c)
+		c.NoGoldenCache = gc == nil
+		c.Obs = ob
+		st, err := c.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	open := func() *GoldenCache {
+		gc, err := NewGoldenCache(0, dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return gc
+	}
+	want := run(nil, nil)
+
+	// Persist the current bundle, then rewrite its record as version 1
+	// (fresh CRC, so only the codec — not the segment framing — can tell).
+	gc := open()
+	run(gc, nil)
+	if err := gc.Close(); err != nil {
+		t.Fatal(err)
+	}
+	segs, err := filepath.Glob(filepath.Join(dir, "golden-*.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rewritten := 0
+	for _, path := range segs {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(data) == 0 {
+			continue
+		}
+		if n := int(binary.LittleEndian.Uint32(data[16:20])); len(data) != goldenFrameSize+n {
+			t.Fatalf("%s: want exactly one record, have %d bytes for a %d-byte payload", path, len(data), n)
+		}
+		payload := data[goldenFrameSize:]
+		binary.LittleEndian.PutUint32(payload[4:8], 1)
+		binary.LittleEndian.PutUint32(data[20:24], crc32.ChecksumIEEE(payload))
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		rewritten++
+	}
+	if rewritten != 1 {
+		t.Fatalf("rewrote %d segment records, want 1", rewritten)
+	}
+
+	reg := obs.NewRegistry()
+	gc = open()
+	if got := run(gc, obs.New(reg, nil)); !want.Equal(got) {
+		t.Fatalf("campaign over a v1 disk record changed statistics:\nwant: %+v\ngot:  %+v", want, got)
+	}
+	if err := gc.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := reg.Counter("inject.golden.cache.read_errors").Load(); got != 1 {
+		t.Fatalf("v1 record produced %d read errors, want 1", got)
+	}
+	if got := reg.Counter("inject.golden.cache.disk_hits").Load(); got != 0 {
+		t.Fatalf("v1 record served %d disk hits, want 0", got)
+	}
+	if got := reg.Histogram("inject.golden.compute_ns").Count(); got != 1 {
+		t.Fatalf("v1 record led to %d golden computes, want 1", got)
+	}
+
+	reg = obs.NewRegistry()
+	gc = open()
+	defer gc.Close()
+	if got := run(gc, obs.New(reg, nil)); !want.Equal(got) {
+		t.Fatal("campaign over the superseding record changed statistics")
+	}
+	if got := reg.Counter("inject.golden.cache.disk_hits").Load(); got != 1 {
+		t.Fatalf("next process took %d disk hits, want 1 (the recomputed record)", got)
+	}
+	if got := reg.Counter("inject.golden.cache.read_errors").Load(); got != 0 {
+		t.Fatalf("next process hit %d read errors, want 0", got)
 	}
 }
 

@@ -17,9 +17,11 @@ import (
 // computed; this tier turns those recomputations into one decode.
 //
 // The format mirrors the queue result cache's segment files: each
-// shard owns one append-only log of CRC-framed records, a torn tail
-// from a crashed writer is truncated at open, and first-write-wins is
-// sound because a key's value is content-determined. Only the index
+// shard owns one append-only log of CRC-framed records and a torn tail
+// from a crashed writer is truncated at open. A key's value is
+// content-determined, so put keeps the first record; a later record for
+// the same key only exists because the earlier one no longer decoded
+// (drop), and replay lets it supersede. Only the index
 // lives in memory — decoded bundles are held (and refcounted) by the
 // in-process tier, so this layer never caches payloads.
 type goldenDisk struct {
@@ -96,9 +98,7 @@ func (s *goldenDiskShard) open(path string) error {
 		if crc32.ChecksumIEEE(payload) != crc {
 			break
 		}
-		if _, ok := s.index[key]; !ok { // first write wins
-			s.index[key] = goldenSegRef{off: off + goldenFrameSize, n: int32(n)}
-		}
+		s.index[key] = goldenSegRef{off: off + goldenFrameSize, n: int32(n)} // last record wins
 		off += goldenFrameSize + int64(n)
 	}
 	if err := f.Truncate(off); err != nil {
@@ -127,6 +127,16 @@ func (d *goldenDisk) get(k GoldenKey) ([]byte, bool) {
 		return nil, false
 	}
 	return val, true
+}
+
+// drop forgets a key whose record failed to decode (a bundle from an
+// older codec version), so the recomputed bundle's put appends a
+// record that supersedes it, now and at the next open.
+func (d *goldenDisk) drop(k GoldenKey) {
+	s := d.shardFor(k)
+	s.mu.Lock()
+	delete(s.index, k)
+	s.mu.Unlock()
 }
 
 // put appends one encoded bundle; the first write for a key wins.

@@ -142,28 +142,48 @@ func (h *Histogram) Mean() float64 {
 	return float64(h.Sum()) / float64(n)
 }
 
-// Quantile approximates the q-quantile (q in [0,1]) by the upper bound
-// of the bucket holding the q-th observation.
+// Quantile estimates the q-quantile (q in [0,1]). The extremes are exact
+// (the recorded min and max); in between, the observations of the bucket
+// holding the q-th rank are taken as evenly spread over the part of the
+// bucket inside [min, max], so the estimate never leaves the recorded
+// range.
 func (h *Histogram) Quantile(q float64) int64 {
 	n := h.Count()
 	if n == 0 {
 		return 0
 	}
-	rank := int64(q * float64(n-1))
+	lo, hi := h.minP1.Load()-1, h.max.Load()
+	if q <= 0 {
+		return lo
+	}
+	if q >= 1 {
+		return hi
+	}
+	rank := q * float64(n-1)
 	var seen int64
 	for i := 0; i < histBuckets; i++ {
-		seen += h.buckets[i].Load()
-		if seen > rank {
-			if i == 0 {
-				return 0
-			}
-			if i >= 63 {
-				return h.max.Load()
-			}
-			return int64(1)<<uint(i) - 1
+		c := h.buckets[i].Load()
+		if c == 0 || float64(seen+c) <= rank {
+			seen += c
+			continue
 		}
+		// Bucket i holds the values of bit length i: [2^(i-1), 2^i - 1].
+		var bLo, bHi int64
+		if i > 0 {
+			bLo = int64(1) << uint(i-1)
+			bHi = bLo<<1 - 1
+			if i == 63 {
+				bHi = math.MaxInt64
+			}
+		}
+		bLo, bHi = max(bLo, lo), min(bHi, hi)
+		if bHi <= bLo {
+			return bLo
+		}
+		frac := min((rank-float64(seen)+0.5)/float64(c), 1)
+		return bLo + int64(frac*float64(bHi-bLo))
 	}
-	return h.max.Load()
+	return hi
 }
 
 // Registry is a concurrent-safe named collection of counters, gauges and

@@ -77,6 +77,44 @@ func TestHistogramStats(t *testing.T) {
 	}
 }
 
+// TestHistogramQuantileWithinRange: quantiles stay inside the recorded
+// [min, max] and grow with q. Bucket upper bounds used to leak out: three
+// 270 ms observations reported a p50 of 536 ms (2^29-1 ns), above max.
+func TestHistogramQuantileWithinRange(t *testing.T) {
+	var h Histogram
+	for i := 0; i < 3; i++ {
+		h.ObserveDuration(270 * time.Millisecond)
+	}
+	if got, want := h.Quantile(0.5), (270 * time.Millisecond).Nanoseconds(); got != want {
+		t.Fatalf("p50 of three 270 ms observations = %d, want %d", got, want)
+	}
+
+	var g Histogram
+	for _, v := range []int64{300, 310, 320, 330, 340, 350, 700, 5000, 5100} {
+		g.Observe(v)
+	}
+	prev := int64(-1)
+	for q := 0.0; q <= 1.0; q += 0.05 {
+		v := g.Quantile(q)
+		if v < 300 || v > 5100 {
+			t.Fatalf("q=%.2f: %d outside [300, 5100]", q, v)
+		}
+		if v < prev {
+			t.Fatalf("q=%.2f: %d below the previous quantile %d", q, v, prev)
+		}
+		prev = v
+	}
+	if g.Quantile(0) != 300 || g.Quantile(1) != 5100 {
+		t.Fatalf("extremes %d/%d, want the recorded min/max 300/5100", g.Quantile(0), g.Quantile(1))
+	}
+	// The median (rank 4, the fifth of six values in bucket [256, 511])
+	// interpolates inside the bucket's recorded part [300, 511]: 4.5/6 of
+	// the way, not the bucket's upper bound.
+	if p50 := g.Quantile(0.5); p50 != 458 { // 300 + 4.5/6 * 211
+		t.Fatalf("p50 = %d, want 458", p50)
+	}
+}
+
 func TestConcurrentMetrics(t *testing.T) {
 	r := NewRegistry()
 	var wg sync.WaitGroup

@@ -49,6 +49,7 @@ func (c *Core) Checkpoint() *Checkpoint {
 	c.mem.Digest()
 	cp := getPooledCore()
 	cp.copyFrom(c)
+	cp.dropWakeup()
 	return &Checkpoint{cycle: c.cycle, core: cp}
 }
 
@@ -171,7 +172,8 @@ func (c *Core) copyFrom(src *Core) {
 	c.rob = copyUopsInto(c.rob, src.rob)
 	c.robHead = src.robHead
 	c.robCnt = src.robCnt
-	c.iq = append(c.iq[:0], src.iq...)
+	c.iqMask = append(c.iqMask[:0], src.iqMask...)
+	c.iqCnt = src.iqCnt
 	c.sq = append(c.sq[:0], src.sq...)
 	c.inflight = append(c.inflight[:0], src.inflight...)
 	c.fq = append(c.fq[:0], src.fq...)
@@ -209,10 +211,7 @@ func (c *Core) copyFrom(src *Core) {
 	c.seq = src.seq
 	c.instret = src.instret
 	c.nLoads, c.nStores = src.nLoads, src.nStores
-	c.memPortsUsed = src.memPortsUsed
-	c.unitUsed = src.unitUsed
 	c.divBusyUntil = src.divBusyUntil
-	c.oldestUnexecStore = src.oldestUnexecStore
 
 	// Struct assignment carries the nondeterminism counter; the memory
 	// bus and FU hooks are rebound at every execUop.
@@ -228,6 +227,7 @@ func (c *Core) copyFrom(src *Core) {
 	c.finished = src.finished
 	c.scratchSrc = c.scratchSrc[:0]
 	c.scratchDst = c.scratchDst[:0]
+	c.rebuildWakeup()
 }
 
 // copyUopsInto deep-copies ROB entries, retaining dst's per-µop slice

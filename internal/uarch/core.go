@@ -132,7 +132,19 @@ type Core struct {
 	robHead int
 	robCnt  int
 
-	iq       []int // rob indices, program order
+	// Issue queue (wakeup.go): iqMask marks the ROB entries waiting to
+	// issue and iqCnt counts them. readyMask (the waiting entries whose
+	// sources are all ready) and the per-register waiter lists are
+	// derived from them by rebuildWakeup and never copied or serialized
+	// (checkpoint snapshots hold none).
+	iqMask    []uint64
+	iqCnt     int
+	readyMask []uint64
+	intWait   [][]waiter
+	fpWait    [][]waiter
+	flagWait  [][]waiter
+	iqScratch []int // stateHash's age-ordered IQ list
+
 	sq       []int // rob indices of in-flight stores, program order
 	inflight []int // rob indices issued but not written back
 
@@ -153,11 +165,7 @@ type Core struct {
 	instret uint64
 
 	nLoads, nStores int
-	memPortsUsed    int
-	unitUsed        [isa.NumUnits]int
 	divBusyUntil    [2]uint64 // int div, fp div
-
-	oldestUnexecStore uint64 // seq of oldest unexecuted store (or ^0)
 
 	// progressed is set by any stage that does work in the current cycle;
 	// the event-driven loop skips ahead only after a fully idle cycle.
@@ -265,7 +273,9 @@ func (c *Core) init(prog []isa.Inst, init *arch.State, cfg Config) {
 
 	c.rob = grow(c.rob, cfg.ROBSize)
 	c.robHead, c.robCnt = 0, 0
-	c.iq = c.iq[:0]
+	c.iqMask = grow(c.iqMask, (cfg.ROBSize+63)/64)
+	clear(c.iqMask)
+	c.iqCnt = 0
 	c.sq = c.sq[:0]
 	c.inflight = c.inflight[:0]
 	if cap(c.fq) < cfg.FetchQueue {
@@ -280,10 +290,7 @@ func (c *Core) init(prog []isa.Inst, init *arch.State, cfg Config) {
 	c.decInst = isa.Inst{}
 	c.cycle, c.seq, c.instret = 0, 0, 0
 	c.nLoads, c.nStores = 0, 0
-	c.memPortsUsed = 0
-	c.unitUsed = [isa.NumUnits]int{}
 	c.divBusyUntil = [2]uint64{}
-	c.oldestUnexecStore = 0
 	c.progressed = false
 	c.wbReadyAt = 0
 	c.skipped = 0
@@ -372,6 +379,7 @@ func (c *Core) init(prog []isa.Inst, init *arch.State, cfg Config) {
 	for f := 1; f < cfg.FlagPRF; f++ {
 		c.flagFree = append(c.flagFree, uint16(f))
 	}
+	c.rebuildWakeup()
 }
 
 // Cycle returns the current cycle (for injection hooks).
@@ -756,10 +764,13 @@ func (c *Core) writeback() {
 			switch d.cls {
 			case clsInt:
 				c.intReady[d.phys] = true
+				c.wake(&c.intWait[d.phys])
 			case clsFP:
 				c.fpReady[d.phys] = true
+				c.wake(&c.fpWait[d.phys])
 			case clsFlag:
 				c.flagRdy[d.phys] = true
+				c.wake(&c.flagWait[d.phys])
 			}
 		}
 		if u.v != nil && u.v.IsBranch && u.err == nil && u.actualNext != u.predNext {
@@ -807,6 +818,9 @@ func (c *Core) squashAfter(bIdx int, redirect int) {
 			if u.isStore {
 				c.nStores--
 			}
+			if hasBit(c.iqMask, tail) {
+				c.dequeueIQ(tail)
+			}
 			u.squashed = true
 		}
 		c.robCnt--
@@ -828,14 +842,6 @@ func (c *Core) squashAfter(bIdx int, redirect int) {
 			break
 		}
 	}
-	// Drop squashed entries from the issue queue.
-	kept := c.iq[:0]
-	for _, idx := range c.iq {
-		if !c.rob[idx].squashed {
-			kept = append(kept, idx)
-		}
-	}
-	c.iq = kept
 	c.fq = c.fq[:0]
 	c.fetchPC = redirect
 	c.fetchStallUntil = c.cycle + uint64(c.cfg.MispredictPenalty)

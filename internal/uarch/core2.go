@@ -32,79 +32,66 @@ func (c *Core) unitCapacity(u isa.Unit) int {
 	return 1
 }
 
-// srcsReady reports whether all of u's renamed sources are ready. A
-// source's readiness is monotonic for the lifetime of a waiting µop (a
-// physical register it reads cannot be reallocated before the µop issues
-// or is squashed), so the index of the first not-ready source is
-// memoized in u.waitSrc: the common retry re-checks one register instead
-// of rescanning the whole list.
-func (c *Core) srcsReady(u *uop) bool {
-	for i := int(u.waitSrc); i < len(u.srcs); i++ {
-		s := &u.srcs[i]
-		ready := false
-		switch s.cls {
-		case clsInt:
-			ready = c.intReady[s.phys]
-		case clsFP:
-			ready = c.fpReady[s.phys]
-		case clsFlag:
-			ready = c.flagRdy[s.phys]
-		}
-		if !ready {
-			u.waitSrc = uint8(i)
-			return false
-		}
-	}
-	return true
-}
-
-func (c *Core) computeOldestUnexecStore() {
-	c.oldestUnexecStore = ^uint64(0)
+// oldestUnexecStore returns the sequence number of the oldest store
+// still waiting to execute (^0 if none).
+func (c *Core) oldestUnexecStore() uint64 {
 	for _, si := range c.sq {
 		su := &c.rob[si]
 		if !su.squashed && su.st == uWaiting {
-			c.oldestUnexecStore = su.seq
-			return
+			return su.seq
 		}
 	}
+	return ^uint64(0)
 }
 
+// issue selects up to IssueWidth ready µops, oldest first, subject to
+// per-class unit capacity, the memory ports, the unpipelined dividers
+// and loads waiting behind older unexecuted stores. It walks only the
+// ready bitmap (wakeup.go), never the whole issue queue.
 func (c *Core) issue() {
-	c.memPortsUsed = 0
-	for i := range c.unitUsed {
-		c.unitUsed[i] = 0
-	}
-	c.computeOldestUnexecStore()
+	var unitUsed [isa.NumUnits]int
+	memPortsUsed := 0
 	issued := 0
-	kept := c.iq[:0]
-	for _, idx := range c.iq {
-		u := &c.rob[idx]
-		if u.squashed {
-			continue
+	// Loads compare against the oldest store unexecuted at the start of
+	// the cycle, computed on the first ready load. A store issued earlier
+	// in this walk is older than every µop after it, and it was waiting at
+	// the start of the cycle, so it bounds the scan's answer.
+	oldestStore, storesScanned := ^uint64(0), false
+	for pass, from, end := 0, c.robHead, len(c.rob); pass < 2; pass, from, end = pass+1, 0, c.robHead {
+		for idx := nextBit(c.readyMask, from, end); idx >= 0; idx = nextBit(c.readyMask, idx+1, end) {
+			if issued >= c.cfg.IssueWidth {
+				return
+			}
+			u := &c.rob[idx]
+			unit := u.v.Unit
+			needMem := u.isLoad || u.isStore
+			if unitUsed[unit] >= c.unitCapacity(unit) ||
+				(needMem && memPortsUsed >= c.cfg.NumMemPort) ||
+				(unit == isa.UIntDiv && c.divBusyUntil[0] > c.cycle) ||
+				(unit == isa.UFPDiv && c.divBusyUntil[1] > c.cycle) {
+				continue
+			}
+			if u.isLoad {
+				if !storesScanned {
+					oldestStore = min(oldestStore, c.oldestUnexecStore())
+					storesScanned = true
+				}
+				if oldestStore < u.seq {
+					continue
+				}
+			}
+			unitUsed[unit]++
+			if needMem {
+				memPortsUsed++
+			}
+			if u.isStore && !storesScanned {
+				oldestStore = min(oldestStore, u.seq)
+			}
+			c.dequeueIQ(idx)
+			c.execUop(idx)
+			issued++
 		}
-		if issued >= c.cfg.IssueWidth {
-			kept = append(kept, idx)
-			continue
-		}
-		unit := u.v.Unit
-		needMem := u.isLoad || u.isStore
-		if !c.srcsReady(u) ||
-			c.unitUsed[unit] >= c.unitCapacity(unit) ||
-			(needMem && c.memPortsUsed >= c.cfg.NumMemPort) ||
-			(unit == isa.UIntDiv && c.divBusyUntil[0] > c.cycle) ||
-			(unit == isa.UFPDiv && c.divBusyUntil[1] > c.cycle) ||
-			(u.isLoad && c.oldestUnexecStore < u.seq) {
-			kept = append(kept, idx)
-			continue
-		}
-		c.unitUsed[unit]++
-		if needMem {
-			c.memPortsUsed++
-		}
-		c.execUop(idx)
-		issued++
 	}
-	c.iq = kept
 }
 
 // activeFU returns the functional-unit hook set in force at the current
@@ -311,7 +298,7 @@ func (c *Core) rename() {
 }
 
 func (c *Core) renameOne(f fqEntry) bool {
-	if c.robCnt == len(c.rob) || len(c.iq) >= c.cfg.IQSize {
+	if c.robCnt == len(c.rob) || c.iqCnt >= c.cfg.IQSize {
 		return false
 	}
 	var v *isa.Variant
@@ -393,18 +380,21 @@ func (c *Core) renameOne(f fqEntry) bool {
 			old = c.rat.intRAT[d.arch]
 			c.rat.intRAT[d.arch] = phys
 			c.intReady[phys] = false
+			c.intWait[phys] = c.intWait[phys][:0]
 		case clsFP:
 			phys = c.fpFree[len(c.fpFree)-1]
 			c.fpFree = c.fpFree[:len(c.fpFree)-1]
 			old = c.rat.fpRAT[d.arch]
 			c.rat.fpRAT[d.arch] = phys
 			c.fpReady[phys] = false
+			c.fpWait[phys] = c.fpWait[phys][:0]
 		case clsFlag:
 			phys = c.flagFree[len(c.flagFree)-1]
 			c.flagFree = c.flagFree[:len(c.flagFree)-1]
 			old = c.rat.flagRAT
 			c.rat.flagRAT = phys
 			c.flagRdy[phys] = false
+			c.flagWait[phys] = c.flagWait[phys][:0]
 		}
 		u.dsts = append(u.dsts, rdst{cls: d.cls, arch: d.arch, phys: phys, old: old})
 	}
@@ -419,7 +409,7 @@ func (c *Core) renameOne(f fqEntry) bool {
 	if isLoad {
 		c.nLoads++
 	}
-	c.iq = append(c.iq, idx)
+	c.enqueueIQ(idx)
 	c.robCnt++
 	return true
 }

@@ -32,7 +32,8 @@ import (
 // on excluding only state that provably cannot: values of free physical
 // registers (no reader can hold a freed mapping — any µop that renamed
 // against it must have committed before the overwriter freed it),
-// recomputed-per-cycle scratch (oldestUnexecStore, unit/port counters),
+// state derived from what is hashed (the issue scheduler's ready bitmap,
+// waiter lists and pending-source counts),
 // scan lower bounds (wbReadyAt), expired timestamps (normalized to 0),
 // per-µop fields that are dead in the µop's current pipeline state, and
 // pure telemetry (hit/miss counters, ACE buffers, skipped-cycle counts).
@@ -442,8 +443,9 @@ func (c *Core) stateHash() uint64 {
 	// indices compare like relative ones. The in-flight list is filtered
 	// the same way writeback filters it (squashed or already-written-back
 	// entries are pruned lazily and carry no behaviour).
-	mix(uint64(len(c.iq)))
-	for _, idx := range c.iq {
+	mix(uint64(c.iqCnt))
+	c.iqScratch = c.iqOrder(c.iqScratch[:0])
+	for _, idx := range c.iqScratch {
 		mixInt(idx)
 	}
 	mix(uint64(len(c.sq)))

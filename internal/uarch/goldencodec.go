@@ -27,7 +27,8 @@ import (
 // codec's field inventory deliberately mirrors Core.copyFrom — the
 // authoritative list of what constitutes dynamic simulator state — and
 // the same exclusions apply: run-loop scratch (progressed, wbReadyAt,
-// skipped), delta arming (re-derived by RestoreFrom) and per-run
+// skipped), delta arming (re-derived by RestoreFrom), the issue
+// scheduler's wakeup state (re-derived by rebuildWakeup) and per-run
 // instrumentation (trackers, recorders, trace sinks) are not state.
 // ROB entries outside the live window ∪ in-flight set hold dead values
 // that rename always resets before reuse, exactly as pooled-core copies
@@ -112,7 +113,7 @@ func (ga *GoldenArtifacts) ApproxBytes() int {
 // HXGA container framing.
 const (
 	goldenMagic   uint32 = 0x41475848 // "HXGA" little-endian
-	goldenVersion uint32 = 1
+	goldenVersion uint32 = 2
 
 	// maxGoldenElems bounds any decoded slice length (checkpoints,
 	// regions, queue lengths); generous but refuses corrupt frames.
@@ -354,7 +355,6 @@ func (e *gaEnc) core(cp *Core) error {
 		e.boolean(u.squashed)
 		e.u64(u.doneAt)
 		e.i64(int64(u.memLat))
-		e.u8(u.waitSrc)
 		e.i64(int64(u.predNext))
 		e.i64(int64(u.actualNext))
 		e.u32(uint32(len(u.srcs)))
@@ -390,7 +390,7 @@ func (e *gaEnc) core(cp *Core) error {
 	}
 
 	// Scheduler queues (ROB indices).
-	for _, q := range [][]int{cp.iq, cp.sq, cp.inflight} {
+	for _, q := range [][]int{cp.iqOrder(nil), cp.sq, cp.inflight} {
 		e.u32(uint32(len(q)))
 		for _, idx := range q {
 			e.i64(int64(idx))
@@ -437,13 +437,8 @@ func (e *gaEnc) core(cp *Core) error {
 	e.u64(cp.flushes)
 	e.i64(int64(cp.nLoads))
 	e.i64(int64(cp.nStores))
-	e.i64(int64(cp.memPortsUsed))
-	for _, v := range cp.unitUsed {
-		e.i64(int64(v))
-	}
 	e.u64(cp.divBusyUntil[0])
 	e.u64(cp.divBusyUntil[1])
-	e.u64(cp.oldestUnexecStore)
 	e.u64(cp.streamDigest)
 	for s := 0; s < int(coverage.NumStructures); s++ {
 		e.u64(cp.ibrC[s].EffBits)
@@ -809,7 +804,6 @@ func (d *gaDec) core(prog []isa.Inst, cfg Config) *Core {
 		u.squashed = d.boolean()
 		u.doneAt = d.u64()
 		u.memLat = int(d.i64())
-		u.waitSrc = d.u8()
 		u.predNext = int(d.i64())
 		u.actualNext = int(d.i64())
 		for i, n := 0, d.length(); i < n && d.err == nil; i++ {
@@ -862,7 +856,19 @@ func (d *gaDec) core(prog []isa.Inst, cfg Config) *Core {
 		}
 	}
 
-	for _, q := range []*[]int{&cp.iq, &cp.sq, &cp.inflight} {
+	// The issue queue travels as its age-ordered index list; every entry
+	// must be a distinct slot of the live ROB window.
+	for i, n := 0, d.length(); i < n && d.err == nil; i++ {
+		idx := int(d.i64())
+		if idx < 0 || idx >= len(cp.rob) || (idx-cp.robHead+len(cp.rob))%len(cp.rob) >= cp.robCnt ||
+			hasBit(cp.iqMask, idx) {
+			d.fail("issue queue index %d outside the ROB window or repeated", idx)
+			return release()
+		}
+		setBit(cp.iqMask, idx)
+		cp.iqCnt++
+	}
+	for _, q := range []*[]int{&cp.sq, &cp.inflight} {
 		*q = (*q)[:0]
 		for i, n := 0, d.length(); i < n && d.err == nil; i++ {
 			idx := int(d.i64())
@@ -929,13 +935,8 @@ func (d *gaDec) core(prog []isa.Inst, cfg Config) *Core {
 	cp.flushes = d.u64()
 	cp.nLoads = int(d.i64())
 	cp.nStores = int(d.i64())
-	cp.memPortsUsed = int(d.i64())
-	for i := range cp.unitUsed {
-		cp.unitUsed[i] = int(d.i64())
-	}
 	cp.divBusyUntil[0] = d.u64()
 	cp.divBusyUntil[1] = d.u64()
-	cp.oldestUnexecStore = d.u64()
 	cp.streamDigest = d.u64()
 	for s := 0; s < int(coverage.NumStructures); s++ {
 		cp.ibrC[s].EffBits = d.u64()
@@ -947,6 +948,7 @@ func (d *gaDec) core(prog []isa.Inst, cfg Config) *Core {
 	if d.err != nil {
 		return release()
 	}
+	cp.dropWakeup()
 	return cp
 }
 
